@@ -1,7 +1,7 @@
 //! Simulated-annealing floorplan optimization (Wong–Liu moves), with
 //! independently seeded restarts fanned out across threads.
 
-use crate::placement::{evaluate, Placement};
+use crate::placement::{evaluate, Placement, Rect, Slicer};
 use crate::slicing::{Module, Net, PolishElem, PolishExpr};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -51,132 +51,188 @@ impl Default for FloorplanConfig {
     }
 }
 
-/// Cost of a placement: die area + weighted wirelength + island spread +
-/// aspect penalty. Lower is better.
-fn cost(placement: &Placement, modules: &[Module], nets: &[Net], cfg: &FloorplanConfig) -> f64 {
-    let (w, h) = placement.die();
-    let area = w * h;
-    let aspect = if w > 0.0 && h > 0.0 {
-        (w / h).ln().abs()
-    } else {
-        10.0
-    };
+/// The cost function of one annealing problem, with everything that does
+/// not depend on the placement computed once: the net-weight total, the
+/// island count, and scratch for the island bounding boxes.
+struct CostModel<'a> {
+    modules: &'a [Module],
+    nets: &'a [Net],
+    cfg: &'a FloorplanConfig,
+    total_weight: f64,
+    /// Per island: `[lo_x, hi_x, lo_y, hi_y]` of its module centers.
+    island_boxes: Vec<[f64; 4]>,
+}
 
-    // Traffic-weighted half-perimeter wirelength.
-    let mut wl = 0.0;
-    let total_weight: f64 = nets.iter().map(|n| n.weight).sum::<f64>().max(1e-12);
-    for net in nets {
-        let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &p in &net.pins {
-            let (cx, cy) = placement.center(p);
-            lo_x = lo_x.min(cx);
-            hi_x = hi_x.max(cx);
-            lo_y = lo_y.min(cy);
-            hi_y = hi_y.max(cy);
+impl<'a> CostModel<'a> {
+    fn new(modules: &'a [Module], nets: &'a [Net], cfg: &'a FloorplanConfig) -> Self {
+        let n_islands = modules.iter().map(|m| m.island).max().unwrap_or(0) + 1;
+        CostModel {
+            modules,
+            nets,
+            cfg,
+            total_weight: nets.iter().map(|n| n.weight).sum::<f64>().max(1e-12),
+            island_boxes: vec![[0.0; 4]; n_islands],
         }
-        wl += net.weight / total_weight * ((hi_x - lo_x) + (hi_y - lo_y));
     }
 
-    // Island cohesion: half-perimeter of each island's bounding box, summed.
-    let n_islands = modules.iter().map(|m| m.island).max().unwrap_or(0) + 1;
-    let mut spread = 0.0;
-    for isl in 0..n_islands {
-        let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut any = false;
-        for (i, m) in modules.iter().enumerate() {
-            if m.island == isl {
-                any = true;
-                let (cx, cy) = placement.center(i);
+    /// Cost of a placement: die area + weighted wirelength + island
+    /// spread + aspect penalty. Lower is better.
+    fn cost(&mut self, rects: &[Rect], (w, h): (f64, f64)) -> f64 {
+        let area = w * h;
+        let aspect = if w > 0.0 && h > 0.0 {
+            (w / h).ln().abs()
+        } else {
+            10.0
+        };
+
+        // Traffic-weighted half-perimeter wirelength.
+        let mut wl = 0.0;
+        for net in self.nets {
+            let (mut lo_x, mut hi_x) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut lo_y, mut hi_y) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &p in &net.pins {
+                let (cx, cy) = rects[p].center();
                 lo_x = lo_x.min(cx);
                 hi_x = hi_x.max(cx);
                 lo_y = lo_y.min(cy);
                 hi_y = hi_y.max(cy);
             }
+            wl += net.weight / self.total_weight * ((hi_x - lo_x) + (hi_y - lo_y));
         }
-        if any {
-            spread += (hi_x - lo_x) + (hi_y - lo_y);
-        }
-    }
 
-    area + cfg.lambda_aspect * area * aspect.min(2.0) / 2.0
-        + cfg.lambda_wire * area * wl
-        + cfg.lambda_island * spread
+        // Island cohesion: half-perimeter of each island's bounding box,
+        // summed in island order. Empty islands keep their inverted box.
+        self.island_boxes.fill([
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        for (m, r) in self.modules.iter().zip(rects) {
+            let (cx, cy) = r.center();
+            let b = &mut self.island_boxes[m.island];
+            b[0] = b[0].min(cx);
+            b[1] = b[1].max(cx);
+            b[2] = b[2].min(cy);
+            b[3] = b[3].max(cy);
+        }
+        let mut spread = 0.0;
+        for &[lo_x, hi_x, lo_y, hi_y] in &self.island_boxes {
+            if lo_x <= hi_x {
+                spread += (hi_x - lo_x) + (hi_y - lo_y);
+            }
+        }
+
+        let cfg = self.cfg;
+        area + cfg.lambda_aspect * area * aspect.min(2.0) / 2.0
+            + cfg.lambda_wire * area * wl
+            + cfg.lambda_island * spread
+    }
 }
 
-/// Proposes one random Wong–Liu move; returns `false` if the proposal was
-/// structurally invalid (caller retries).
-fn propose(expr: &mut PolishExpr, n: usize, rng: &mut StdRng) -> bool {
+/// How to take back a proposed move.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// Swap these two elements back.
+    Swap(usize, usize),
+    /// Complement the operators of `elems[start..end]` again.
+    Complement(usize, usize),
+    /// Toggle this module's rotation again.
+    Rotate(usize),
+}
+
+/// Flips every operator of `elems[start..end]` (H<->V).
+fn complement(elems: &mut [PolishElem], start: usize, end: usize) {
+    for e in &mut elems[start..end] {
+        *e = match *e {
+            PolishElem::H => PolishElem::V,
+            PolishElem::V => PolishElem::H,
+            PolishElem::Operand(_) => unreachable!("operator chains hold no operands"),
+        };
+    }
+}
+
+/// Applies one random Wong–Liu move to `expr` in place and returns how to
+/// undo it, or `None` if the proposal was structurally invalid (`expr` is
+/// then unchanged and the caller retries).
+fn propose(expr: &mut PolishExpr, n: usize, rng: &mut StdRng) -> Option<Undo> {
+    let is_operand = |e: &PolishElem| matches!(e, PolishElem::Operand(_));
     match rng.random_range(0..4u8) {
-        // M1: swap two adjacent operands.
+        // M1: swap two adjacent operands (of the n operands).
         0 => {
-            let ops = expr.operand_positions();
-            if ops.len() < 2 {
-                return false;
+            if n < 2 {
+                return None;
             }
-            let k = rng.random_range(0..ops.len() - 1);
-            expr.elems.swap(ops[k], ops[k + 1]);
-            true
+            let k = rng.random_range(0..n - 1);
+            let mut operands = expr.elems.iter().enumerate().filter(|(_, e)| is_operand(e));
+            let a = operands.nth(k).expect("k < n - 1").0;
+            let b = operands.next().expect("k + 1 < n").0;
+            expr.elems.swap(a, b);
+            Some(Undo::Swap(a, b))
         }
-        // M2: complement a chain of operators (flip H<->V).
+        // M2: complement a chain of operators (of the n - 1 operators),
+        // from a random one up to the next operand.
         1 => {
-            let chains: Vec<usize> = expr
+            if n < 2 {
+                return None;
+            }
+            let r = rng.random_range(0..n - 1);
+            let start = expr
                 .elems
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| !matches!(e, PolishElem::Operand(_)))
-                .map(|(i, _)| i)
-                .collect();
-            if chains.is_empty() {
-                return false;
-            }
-            let start = chains[rng.random_range(0..chains.len())];
-            let mut i = start;
-            while i < expr.elems.len() {
-                match expr.elems[i] {
-                    PolishElem::H => expr.elems[i] = PolishElem::V,
-                    PolishElem::V => expr.elems[i] = PolishElem::H,
-                    PolishElem::Operand(_) => break,
-                }
-                i += 1;
-            }
-            true
+                .filter(|(_, e)| !is_operand(e))
+                .nth(r)
+                .expect("r < n - 1")
+                .0;
+            let end = expr.elems[start..]
+                .iter()
+                .position(is_operand)
+                .map_or(expr.elems.len(), |len| start + len);
+            complement(&mut expr.elems, start, end);
+            Some(Undo::Complement(start, end))
         }
         // M3: swap an adjacent operand/operator pair, if validity holds.
         2 => {
             if expr.elems.len() < 2 {
-                return false;
+                return None;
             }
             let k = rng.random_range(0..expr.elems.len() - 1);
-            let pair = (expr.elems[k], expr.elems[k + 1]);
-            let swappable = matches!(
-                pair,
-                (PolishElem::Operand(_), PolishElem::H | PolishElem::V)
-                    | (PolishElem::H | PolishElem::V, PolishElem::Operand(_))
-            );
-            if !swappable {
-                return false;
+            if is_operand(&expr.elems[k]) == is_operand(&expr.elems[k + 1]) {
+                return None;
             }
             expr.elems.swap(k, k + 1);
             if expr.is_valid(n) {
-                true
+                Some(Undo::Swap(k, k + 1))
             } else {
                 expr.elems.swap(k, k + 1);
-                false
+                None
             }
         }
         // M4: rotate a random module.
         _ => {
             let i = rng.random_range(0..n);
             expr.rotated[i] = !expr.rotated[i];
-            true
+            Some(Undo::Rotate(i))
         }
+    }
+}
+
+/// Takes back the move `propose` applied.
+fn undo(expr: &mut PolishExpr, u: Undo) {
+    match u {
+        Undo::Swap(a, b) => expr.elems.swap(a, b),
+        Undo::Complement(start, end) => complement(&mut expr.elems, start, end),
+        Undo::Rotate(i) => expr.rotated[i] = !expr.rotated[i],
     }
 }
 
 /// One annealing chain from `seed`; returns the best cost seen and the
 /// expression achieving it.
+///
+/// Moves are applied in place and undone on rejection; every evaluation
+/// reuses one [`Slicer`] and one [`CostModel`], so the loop allocates
+/// nothing after set-up.
 fn anneal_chain(
     modules: &[Module],
     nets: &[Net],
@@ -185,8 +241,11 @@ fn anneal_chain(
 ) -> (f64, PolishExpr) {
     let n = modules.len();
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut slicer = Slicer::new(n);
+    let mut model = CostModel::new(modules, nets, cfg);
     let mut expr = PolishExpr::initial(n);
-    let mut current_cost = cost(&evaluate(&expr, modules), modules, nets, cfg);
+    let die = slicer.evaluate(&expr, modules);
+    let mut current_cost = model.cost(slicer.rects(), die);
     let mut best_expr = expr.clone();
     let mut best_cost = current_cost;
 
@@ -194,21 +253,24 @@ fn anneal_chain(
     let chunk = (cfg.iterations / 50).max(1);
 
     for it in 0..cfg.iterations {
-        let mut candidate = expr.clone();
-        if !propose(&mut candidate, n, &mut rng) {
+        // An invalid proposal uses up the iteration and also skips its
+        // cooling check; the pinned placements depend on that schedule.
+        let Some(mv) = propose(&mut expr, n, &mut rng) else {
             continue;
-        }
-        debug_assert!(candidate.is_valid(n));
-        let c = cost(&evaluate(&candidate, modules), modules, nets, cfg);
+        };
+        debug_assert!(expr.is_valid(n));
+        let die = slicer.evaluate(&expr, modules);
+        let c = model.cost(slicer.rects(), die);
         let delta = c - current_cost;
         let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temp.max(1e-12)).exp();
         if accept {
-            expr = candidate;
             current_cost = c;
             if c < best_cost {
                 best_cost = c;
-                best_expr = expr.clone();
+                best_expr.clone_from(&expr);
             }
+        } else {
+            undo(&mut expr, mv);
         }
         if (it + 1) % chunk == 0 {
             temp *= cfg.cooling;
@@ -259,6 +321,10 @@ pub fn floorplan(modules: &[Module], nets: &[Net], cfg: &FloorplanConfig) -> Pla
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cost(placement: &Placement, modules: &[Module], nets: &[Net], cfg: &FloorplanConfig) -> f64 {
+        CostModel::new(modules, nets, cfg).cost(placement.rects(), placement.die())
+    }
 
     fn quick_cfg() -> FloorplanConfig {
         FloorplanConfig {

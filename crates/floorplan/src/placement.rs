@@ -98,87 +98,118 @@ impl Placement {
     }
 }
 
-/// Evaluates a Polish expression into a placement.
+/// Reusable scratch for evaluating Polish expressions: the annealer keeps
+/// one per chain and evaluates every move into the same buffers, so a move
+/// costs two linear passes and no allocation.
 ///
 /// Slicing semantics: `a b V` places `b` to the right of `a`; `a b H`
 /// stacks `b` on top of `a`. Subtree bounding boxes are the max/sum of the
 /// child dimensions (no shape curves — modules may rotate via the annealer's
 /// rotation flags instead).
-pub(crate) fn evaluate(expr: &PolishExpr, modules: &[Module]) -> Placement {
-    #[derive(Debug)]
-    enum Node {
-        Leaf(usize),
-        Cut(Box<Node>, Box<Node>, PolishElem),
-    }
+#[derive(Debug)]
+pub(crate) struct Slicer {
+    /// Per element: bounding box `(w, h)` of the subtree rooted there.
+    dims: Vec<(f64, f64)>,
+    /// Per operator element: index of its left child (the right child of
+    /// the operator at `i` is always `i - 1`).
+    left: Vec<usize>,
+    /// Per element: lower-left corner of its subtree.
+    origin: Vec<(f64, f64)>,
+    /// Operand stack of the post-order pass.
+    stack: Vec<usize>,
+    /// Per module: its placed rectangle.
+    rects: Vec<Rect>,
+}
 
-    fn dims(node: &Node, expr: &PolishExpr, modules: &[Module]) -> (f64, f64) {
-        match node {
-            Node::Leaf(i) => expr.module_shape(modules, *i),
-            Node::Cut(a, b, op) => {
-                let (aw, ah) = dims(a, expr, modules);
-                let (bw, bh) = dims(b, expr, modules);
-                match op {
-                    PolishElem::V => (aw + bw, ah.max(bh)),
-                    PolishElem::H => (aw.max(bw), ah + bh),
-                    PolishElem::Operand(_) => unreachable!("cut with operand op"),
-                }
-            }
-        }
-    }
-
-    fn assign(
-        node: &Node,
-        x: f64,
-        y: f64,
-        expr: &PolishExpr,
-        modules: &[Module],
-        out: &mut [Rect],
-    ) {
-        match node {
-            Node::Leaf(i) => {
-                let (w, h) = expr.module_shape(modules, *i);
-                out[*i] = Rect { x, y, w, h };
-            }
-            Node::Cut(a, b, op) => {
-                let (aw, ah) = dims(a, expr, modules);
-                assign(a, x, y, expr, modules, out);
-                match op {
-                    PolishElem::V => assign(b, x + aw, y, expr, modules, out),
-                    PolishElem::H => assign(b, x, y + ah, expr, modules, out),
-                    PolishElem::Operand(_) => unreachable!(),
-                }
-            }
-        }
-    }
-
-    // Build the tree with an operand stack.
-    let mut stack: Vec<Node> = Vec::new();
-    for e in &expr.elems {
-        match e {
-            PolishElem::Operand(i) => stack.push(Node::Leaf(*i)),
-            op => {
-                let b = stack.pop().expect("valid polish expression");
-                let a = stack.pop().expect("valid polish expression");
-                stack.push(Node::Cut(Box::new(a), Box::new(b), *op));
-            }
-        }
-    }
-    let root = stack.pop().expect("non-empty expression");
-    assert!(stack.is_empty(), "expression must reduce to a single tree");
-
-    let (die_w, die_h) = dims(&root, expr, modules);
-    let mut rects = vec![
-        Rect {
+impl Slicer {
+    /// Scratch sized for expressions over `n` modules.
+    pub(crate) fn new(n: usize) -> Self {
+        let len = (2 * n).saturating_sub(1);
+        let zero = Rect {
             x: 0.0,
             y: 0.0,
             w: 0.0,
-            h: 0.0
+            h: 0.0,
         };
-        modules.len()
-    ];
-    assign(&root, 0.0, 0.0, expr, modules, &mut rects);
+        Slicer {
+            dims: vec![(0.0, 0.0); len],
+            left: vec![0; len],
+            origin: vec![(0.0, 0.0); len],
+            stack: Vec::with_capacity(n),
+            rects: vec![zero; n],
+        }
+    }
+
+    /// Places every module of `expr`, leaving the rectangles in
+    /// [`Slicer::rects`], and returns the die `(width, height)`.
+    ///
+    /// A post-order pass computes each subtree's bounding box; a top-down
+    /// pass (descending element index, so parents come before children)
+    /// hands each subtree its lower-left corner.
+    pub(crate) fn evaluate(&mut self, expr: &PolishExpr, modules: &[Module]) -> (f64, f64) {
+        debug_assert_eq!(
+            self.rects.len(),
+            modules.len(),
+            "scratch sized for another n"
+        );
+        self.stack.clear();
+        for (i, e) in expr.elems.iter().enumerate() {
+            match e {
+                PolishElem::Operand(m) => self.dims[i] = expr.module_shape(modules, *m),
+                op => {
+                    self.stack.pop().expect("valid polish expression");
+                    let a = self.stack.pop().expect("valid polish expression");
+                    let (aw, ah) = self.dims[a];
+                    let (bw, bh) = self.dims[i - 1];
+                    self.dims[i] = match op {
+                        PolishElem::V => (aw + bw, ah.max(bh)),
+                        _ => (aw.max(bw), ah + bh),
+                    };
+                    self.left[i] = a;
+                }
+            }
+            self.stack.push(i);
+        }
+        let root = self.stack.pop().expect("non-empty expression");
+        assert!(
+            self.stack.is_empty(),
+            "expression must reduce to a single tree"
+        );
+
+        self.origin[root] = (0.0, 0.0);
+        for i in (0..=root).rev() {
+            let (x, y) = self.origin[i];
+            match expr.elems[i] {
+                PolishElem::Operand(m) => {
+                    let (w, h) = self.dims[i];
+                    self.rects[m] = Rect { x, y, w, h };
+                }
+                op => {
+                    let a = self.left[i];
+                    let (aw, ah) = self.dims[a];
+                    self.origin[a] = (x, y);
+                    self.origin[i - 1] = match op {
+                        PolishElem::V => (x + aw, y),
+                        _ => (x, y + ah),
+                    };
+                }
+            }
+        }
+        self.dims[root]
+    }
+
+    /// Rectangles of the last [`Slicer::evaluate`], indexed by module.
+    pub(crate) fn rects(&self) -> &[Rect] {
+        &self.rects
+    }
+}
+
+/// Evaluates a Polish expression into a placement (see [`Slicer`]).
+pub(crate) fn evaluate(expr: &PolishExpr, modules: &[Module]) -> Placement {
+    let mut slicer = Slicer::new(modules.len());
+    let (die_w, die_h) = slicer.evaluate(expr, modules);
     Placement {
-        rects,
+        rects: slicer.rects,
         die_w,
         die_h,
     }

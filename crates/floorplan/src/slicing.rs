@@ -131,16 +131,6 @@ impl PolishExpr {
         operands == n && operators + 1 == operands
     }
 
-    /// Positions (indices into `elems`) of all operands.
-    pub fn operand_positions(&self) -> Vec<usize> {
-        self.elems
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e, PolishElem::Operand(_)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Effective (width, height) of module `idx` under its rotation flag.
     pub fn module_shape(&self, modules: &[Module], idx: usize) -> (f64, f64) {
         let m = &modules[idx];
@@ -171,7 +161,12 @@ mod tests {
         for n in 1..20 {
             let e = PolishExpr::initial(n);
             assert!(e.is_valid(n), "n={n}");
-            assert_eq!(e.operand_positions().len(), n);
+            let operands = e
+                .elems
+                .iter()
+                .filter(|x| matches!(x, PolishElem::Operand(_)))
+                .count();
+            assert_eq!(operands, n);
         }
     }
 

@@ -1,14 +1,13 @@
 //! One dynamic-sweep cell: a full simulation of a design point under one
 //! sim config, optionally with a mid-run island shutdown.
 //!
-//! This is the measurement primitive of the `vi-noc-dynsweep` crate. It
-//! mirrors [`crate::run_shutdown_scenario`]'s phase structure (run → stop
-//! flows → drain → gate → post-gate run) but is **non-panicking** on drain
-//! failure: a dynamic sweep deliberately pushes load factors past
-//! saturation, where an island's own backlog may not flush within the
-//! drain budget. Such a cell records `drained_cleanly: false` and skips
-//! the gate (the island keeps running), instead of tearing down the whole
-//! sweep — the result is still a deterministic, comparable measurement.
+//! This is the measurement primitive of the `vi-noc-dynsweep` crate, and
+//! its gated branch is [`crate::run_shutdown_scenario`] (run → stop flows →
+//! drain → gate → post-gate run). Load factors past saturation can leave
+//! an island's own backlog unflushed within the drain budget. Such a cell
+//! records `drained_cleanly: false` and skips the gate (the island keeps
+//! running), instead of tearing down a whole sweep or job — the result is
+//! still a deterministic, comparable measurement.
 
 use crate::engine::{SimConfig, Simulator};
 use crate::shutdown::ShutdownScenario;
@@ -42,8 +41,8 @@ pub struct CellOutcome {
 /// deactivate flows touching the island, drain adaptively, gate if — and
 /// only if — the island drained, then run `post_gate_ns` more).
 ///
-/// Unlike [`crate::run_shutdown_scenario`] this never panics on a drain
-/// failure; saturated cells simply report `drained_cleanly: false`.
+/// A drain failure is not a panic; saturated cells simply report
+/// `drained_cleanly: false`.
 ///
 /// # Panics
 ///
@@ -84,8 +83,13 @@ pub fn run_dynamic_cell(
         .sum();
 
     // Phase 2: stop flows terminating in the island, then drain
-    // adaptively — same chunked polling as `run_shutdown_scenario`, but a
-    // saturated island that misses the budget is tolerated, not fatal.
+    // adaptively in chunks; a saturated island that misses the budget is
+    // tolerated, not fatal. When the island was congested, upstream
+    // domains may sit parked on its full queues — every drain pop runs
+    // through the engine's wake lists (`fire_wakes`), so the stalled
+    // senders re-arm at exactly the right ticks and a parked element can
+    // never survive into the gate: parked implies a non-empty (full)
+    // queue, which `gate_island` rejects.
     for fid in spec.flow_ids() {
         if !survivor(fid) {
             sim.deactivate_flow(fid);

@@ -1,6 +1,7 @@
 //! Island shutdown scenarios: drain, gate, and verify surviving traffic.
 
-use crate::engine::{SimConfig, Simulator};
+use crate::cell::run_dynamic_cell;
+use crate::engine::SimConfig;
 use vi_noc_core::Topology;
 use vi_noc_soc::{SocSpec, ViAssignment};
 
@@ -45,19 +46,20 @@ pub struct ShutdownOutcome {
 }
 
 /// Runs the scenario: all flows run normally until `stop_at_ns`; flows
-/// terminating in the gated island are then deactivated; after `drain_ns`
-/// the island is power-gated (panics if flits remain — which would indicate
-/// a shutdown-unsafe topology); surviving flows keep running to the end.
+/// terminating in the gated island are then deactivated; the island drains
+/// in chunks of `drain_ns` and is power-gated once empty; surviving flows
+/// keep running to the end.
 ///
 /// For a correctly synthesized topology, the gated island's switches hold
 /// no through-traffic from other islands — that is the paper's invariant —
-/// so draining only needs the island's own flows to finish.
+/// so draining only needs the island's own flows to finish. An overloaded
+/// island's backlog may still outlast the drain budget (20 chunks); the
+/// run then skips the gate, keeps the island powered for the post-gate
+/// phase, and reports `drained_cleanly: false`.
 ///
 /// # Panics
 ///
-/// Panics if `scenario.island` cannot be shut down under `vi` (always-on),
-/// or if the topology routes foreign traffic through the gated island (the
-/// very failure mode the synthesis prevents).
+/// Panics if `scenario.island` cannot be shut down under `vi` (always-on).
 pub fn run_shutdown_scenario(
     spec: &SocSpec,
     vi: &ViAssignment,
@@ -65,71 +67,15 @@ pub fn run_shutdown_scenario(
     cfg: &SimConfig,
     scenario: &ShutdownScenario,
 ) -> ShutdownOutcome {
-    assert!(
-        vi.can_shutdown(scenario.island),
-        "island {} is always-on",
-        scenario.island
-    );
-    let mut sim = Simulator::new(spec, topo, cfg);
-
-    // Phase 1: everything runs.
-    let s1 = sim.run_for_ns(scenario.stop_at_ns);
-    let survivor = |fid: vi_noc_soc::FlowId| {
-        let f = spec.flow(fid);
-        vi.island_of(f.src) != scenario.island && vi.island_of(f.dst) != scenario.island
-    };
-    let survivors_before: u64 = spec
-        .flow_ids()
-        .filter(|&fid| survivor(fid))
-        .map(|fid| s1.flow(fid).delivered_packets)
-        .sum();
-
-    // Phase 2: stop flows that terminate in the island, then drain.
-    // Draining is adaptive: the island's own traffic (plus any staged
-    // backlog at saturated NIs) takes a workload-dependent time to flush,
-    // so poll in chunks; a generous cap still catches genuine unsafety
-    // (foreign traffic parked in the island would never drain). When the
-    // island was congested, upstream domains may sit parked on its full
-    // queues — every drain pop runs through the engine's wake lists
-    // (`fire_wakes`), so the stalled senders re-arm at exactly the right
-    // ticks and a parked element can never survive into the gate: parked
-    // implies a non-empty (full) queue, which `gate_island` rejects.
-    for fid in spec.flow_ids() {
-        if !survivor(fid) {
-            sim.deactivate_flow(fid);
-        }
-    }
-    let mut waited = 0;
-    while !sim.island_drained(scenario.island) && waited < 20 {
-        sim.run_for_ns(scenario.drain_ns);
-        waited += 1;
-    }
-    assert!(
-        sim.island_drained(scenario.island),
-        "island {} failed to drain after {}x{} ns — traffic is stuck there",
-        scenario.island,
-        waited,
-        scenario.drain_ns
-    );
-
-    // Phase 3: gate. `gate_island` re-asserts the island's queues are
-    // empty — foreign traffic stuck there would mean shutdown-unsafety.
-    sim.gate_island(scenario.island);
-    let drained_cleanly = true;
-
-    // Phase 4: survivors continue.
-    let s3 = sim.run_for_ns(scenario.post_gate_ns);
-    let survivors_total: u64 = spec
-        .flow_ids()
-        .filter(|&fid| survivor(fid))
-        .map(|fid| s3.flow(fid).delivered_packets)
-        .sum();
-
+    let cell = run_dynamic_cell(spec, vi, topo, cfg, 0, Some(scenario));
+    let shut = cell
+        .shutdown
+        .expect("a scheduled cell records its shutdown");
     ShutdownOutcome {
-        survivors_before,
-        survivors_after: survivors_total - survivors_before,
-        total_delivered: s3.total_delivered_packets(),
-        drained_cleanly,
+        survivors_before: shut.survivors_before,
+        survivors_after: shut.survivors_after,
+        total_delivered: cell.stats.total_delivered_packets(),
+        drained_cleanly: shut.drained_cleanly,
     }
 }
 
@@ -200,6 +146,33 @@ mod tests {
             );
             assert!(outcome.drained_cleanly, "island {island}");
         }
+    }
+
+    #[test]
+    fn drain_timeout_skips_the_gate_instead_of_panicking() {
+        let (soc, vi, topo) = design(6);
+        let island = (0..vi.island_count())
+            .find(|&j| vi.can_shutdown(j))
+            .expect("some island can shut down");
+        let cfg = SimConfig {
+            load_factor: 1.2,
+            ..SimConfig::default()
+        };
+        // 20 chunks of 1 ns cannot flush a loaded island's in-flight packets.
+        let scenario = ShutdownScenario {
+            island,
+            stop_at_ns: 15_000,
+            drain_ns: 1,
+            post_gate_ns: 20_000,
+        };
+        let outcome = run_shutdown_scenario(&soc, &vi, &topo, &cfg, &scenario);
+        assert!(!outcome.drained_cleanly);
+        assert!(outcome.survivors_after > 0, "survivors keep running");
+        assert_eq!(
+            outcome,
+            run_shutdown_scenario(&soc, &vi, &topo, &cfg, &scenario),
+            "a timed-out drain is still a deterministic measurement"
+        );
     }
 
     #[test]
